@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """End-to-end demo: synthetic graphs -> labels -> vectorization -> evaluation.
 
-Generates a handful of random road networks, renders connectivity labels,
-recovers graphs from the binary masks, and scores the recovery. Everything
-lands under --workdir (default: ./demo_out).
+Generates a handful of random road networks with
+roadkit.graph.lattice_tree_graph (the generator the tests use), renders
+connectivity labels, recovers graphs from the binary masks, and scores the
+recovery. Everything lands under --workdir (default: ./demo_out).
 """
 
 from __future__ import annotations
@@ -15,39 +16,9 @@ from pathlib import Path
 import numpy as np
 
 from roadkit.cli import main as roadkit_main
-from roadkit.graph import GraphBuilder, serialize_graph
+from roadkit.graph import lattice_tree_graph, serialize_graph
 
-SPACING = 60
 CANVAS = 200
-
-
-def random_road_network(rng: np.random.Generator):
-    """Random tree of straight lattice segments, junctions well separated."""
-    coords = list(range(40, CANVAS - 20, SPACING))
-    sites = [(x, y) for x in coords for y in coords]
-    k = int(rng.integers(3, len(sites) + 1))
-    chosen = [sites[i] for i in rng.choice(len(sites), size=k, replace=False)]
-    builder = GraphBuilder()
-    tree = [chosen[0]]
-    rest = chosen[1:]
-    while rest:
-        site = rest[0]
-        anchor = min(tree, key=lambda a: abs(site[0] - a[0]) + abs(site[1] - a[1]))
-        x, y = anchor
-        path = [(x, y)]
-        while x != site[0]:
-            x += SPACING if site[0] > x else -SPACING
-            path.append((x, y))
-        while y != site[1]:
-            y += SPACING if site[1] > y else -SPACING
-            path.append((x, y))
-        last = max(i for i, p in enumerate(path) if p in tree)
-        path = path[last:]
-        for p, q in zip(path, path[1:]):
-            builder.add_polyline([(float(p[0]), float(p[1])), (float(q[0]), float(q[1]))])
-        tree.extend(path[1:])
-        rest = [s for s in rest if s not in tree]
-    return builder.build()
 
 
 def run(workdir: Path, count: int, seed: int) -> int:
@@ -60,7 +31,7 @@ def run(workdir: Path, count: int, seed: int) -> int:
         d.mkdir(parents=True, exist_ok=True)
 
     for i in range(count):
-        g = random_road_network(rng)
+        g = lattice_tree_graph(rng, CANVAS)
         (graphs / f"net{i:02d}.json").write_text(serialize_graph(g))
 
     print(f"== labelgen: {count} graphs -> masks + connectivity maps ==")

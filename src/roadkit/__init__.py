@@ -35,7 +35,7 @@ from .losses import (
     soft_iou_loss,
     total_loss,
 )
-from .metrics import AplsParams, PixelScore, apls, apls_batch, iou, relaxed_iou, snap_similarity
+from .metrics import AplsParams, PixelScore, apls, iou, relaxed_iou, snap_similarity
 from .tiling import TilePlan, plan_tiles, stitch
 from .vectorize import mask_to_graph, prune_hanging, simplify_rdp, skeleton_to_graph, skeletonize
 
@@ -54,7 +54,6 @@ __all__ = [
     "TilePlan",
     "Window",
     "apls",
-    "apls_batch",
     "balanced_ce_loss",
     "connectivity_label",
     "crop_graph",

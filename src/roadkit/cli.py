@@ -23,9 +23,9 @@ from . import attention, formats, labels, losses, metrics, tiling, vectorize
 from .graph import (
     GraphParseError,
     GraphSchemaError,
-    RoadGraph,
     Window,
     crop_graph,
+    lattice_tree_graph,
     parse_graph,
     serialize_graph,
 )
@@ -130,58 +130,54 @@ def _run_parallel(items, worker, threads: int) -> list:
         return list(pool.map(worker, items))
 
 
-def cmd_labelgen(cfg: RunConfig) -> int:
+def _run_batch(cfg: RunConfig, command: str, suffix: str, work) -> int:
+    """Run ``work(path, out_dir)`` on every ``suffix`` file under --input.
+
+    A file whose input is malformed or unreadable is recorded as a failure
+    and the batch goes on. Prints ``{"processed": n, "failed": {stem:
+    error}}``; any failure makes the exit code 1.
+    """
     if not cfg.input or not cfg.out:
-        return _validation_error("labelgen requires --input and --out")
+        return _validation_error(f"{command} requires --input and --out")
     try:
-        files = _collect(cfg.input, (".json",))
-    except FileNotFoundError as exc:
-        return _io_error(f"input not found: {exc}")
-    out_dir = Path(cfg.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    params = labels.LabelParams(theta=cfg.theta, lam=cfg.lam, node_radius=cfg.node_radius)
-    window = Window(0, 0, cfg.width, cfg.height)
-
-    def work(path: Path) -> tuple[str, str | None]:
-        try:
-            g = crop_graph(parse_graph(path.read_text()), window)
-        except (GraphParseError, GraphSchemaError, OSError) as exc:
-            return path.stem, str(exc)
-        mask, conn = labels.connectivity_label(g, cfg.width, cfg.height, params)
-        formats.write_mask_pgm(out_dir / f"{path.stem}_mask.pgm", mask)
-        formats.write_connectivity_pgm(out_dir / f"{path.stem}_conn.pgm", conn)
-        return path.stem, None
-
-    results = sorted(_run_parallel(files, work, _thread_count(cfg)))
-    failures = {stem: err for stem, err in results if err}
-    summary = {"processed": len(results) - len(failures), "failed": failures}
-    _emit(summary, None)
-    return EXIT_VALIDATION if failures else EXIT_OK
-
-
-def cmd_vectorize(cfg: RunConfig) -> int:
-    if not cfg.input or not cfg.out:
-        return _validation_error("vectorize requires --input and --out")
-    try:
-        files = _collect(cfg.input, (".pgm",))
+        files = _collect(cfg.input, (suffix,))
     except FileNotFoundError as exc:
         return _io_error(f"input not found: {exc}")
     out_dir = Path(cfg.out)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def work(path: Path) -> tuple[str, str | None]:
+    def run(path: Path) -> tuple[str, str | None]:
         try:
-            mask = formats.read_mask_pgm(path)
-        except (formats.FormatError, OSError) as exc:
+            work(path, out_dir)
+        except (GraphParseError, GraphSchemaError, formats.FormatError, OSError) as exc:
             return path.stem, str(exc)
-        g = vectorize.mask_to_graph(mask, cfg.rdp_tolerance, cfg.min_spur)
-        (out_dir / f"{path.stem}.json").write_text(serialize_graph(g))
         return path.stem, None
 
-    results = sorted(_run_parallel(files, work, _thread_count(cfg)))
+    results = sorted(_run_parallel(files, run, _thread_count(cfg)))
     failures = {stem: err for stem, err in results if err}
     _emit({"processed": len(results) - len(failures), "failed": failures}, None)
     return EXIT_VALIDATION if failures else EXIT_OK
+
+
+def cmd_labelgen(cfg: RunConfig) -> int:
+    params = labels.LabelParams(theta=cfg.theta, lam=cfg.lam, node_radius=cfg.node_radius)
+    window = Window(0, 0, cfg.width, cfg.height)
+
+    def work(path: Path, out_dir: Path) -> None:
+        g = crop_graph(parse_graph(path.read_text()), window)
+        mask, conn = labels.connectivity_label(g, cfg.width, cfg.height, params)
+        formats.write_mask_pgm(out_dir / f"{path.stem}_mask.pgm", mask)
+        formats.write_connectivity_pgm(out_dir / f"{path.stem}_conn.pgm", conn)
+
+    return _run_batch(cfg, "labelgen", ".json", work)
+
+
+def cmd_vectorize(cfg: RunConfig) -> int:
+    def work(path: Path, out_dir: Path) -> None:
+        g = vectorize.mask_to_graph(formats.read_mask_pgm(path), cfg.rdp_tolerance, cfg.min_spur)
+        (out_dir / f"{path.stem}.json").write_text(serialize_graph(g))
+
+    return _run_batch(cfg, "vectorize", ".pgm", work)
 
 
 def _load_pair(pred: Path, gt: Path, cfg: RunConfig) -> dict:
@@ -279,66 +275,72 @@ def cmd_ga_forward(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+def _loss_case(loss):
+    """Trial of ``loss(pred, gt) -> (value, grad)`` on a random 3x4x4 one-hot target."""
+
+    def trial(rng: np.random.Generator):
+        pred = rng.uniform(0.05, 0.95, (3, 4, 4))
+        gt = (rng.integers(0, 3, (4, 4)) == np.arange(3)[:, None, None]).astype(np.float64)
+        return pred, loss(pred, gt)[1], lambda x: loss(x, gt)[0]
+
+    return trial
+
+
+def _balanced_ce(pred: np.ndarray, gt: np.ndarray):
+    weights = losses.inverse_boundary_weights(gt.mean(axis=(1, 2)))
+    return losses.balanced_ce_loss(pred, gt, weights)
+
+
+def _ga_case(size: int, kernel):
+    """Trial of an attention kernel on a random 4 x size x size input.
+
+    ``kernel(rng)`` draws the kernel's parameters and returns its forward
+    map and the input gradient of ``sum(forward(v) * probe)``.
+    """
+
+    def trial(rng: np.random.Generator):
+        v = rng.uniform(-1.0, 1.0, (4, size, size))
+        forward, backward = kernel(rng)
+        probe = rng.uniform(-1.0, 1.0, v.shape)
+        return v, backward(v, probe), lambda x: float((forward(x) * probe).sum())
+
+    return trial
+
+
+def _ga_module_kernel(rng: np.random.Generator):
+    params = attention.GaParams.random(4, 2, rng)
+    return (
+        lambda x: attention.ga_module(x, params),
+        lambda x, probe: attention.ga_backward(x, params, probe)[0],
+    )
+
+
+def _ga_resblock_kernel(rng: np.random.Generator):
+    params = attention.GaParams.random(4, 2, rng)
+    branch = attention.ResidualBranchParams.random(4, rng)
+    return (
+        lambda x: attention.ga_resblock(x, params, branch),
+        lambda x, probe: attention.ga_resblock_backward(x, params, branch, probe)[0],
+    )
+
+
 def _gradient_checks(cfg: RunConfig) -> dict:
+    """Worst analytic-vs-finite-difference relative error per kernel, one shared RNG."""
     rng = np.random.default_rng(cfg.seed)
-    report = {}
-
-    worst = 0.0
-    for _ in range(cfg.trials):
-        c, h, w = 3, 4, 4
-        pred = rng.uniform(0.05, 0.95, (c, h, w))
-        gt = np.zeros((c, h, w))
-        picks = rng.integers(0, c, (h, w))
-        for ci in range(c):
-            gt[ci][picks == ci] = 1.0
-        _, grad = losses.soft_iou_loss(pred, gt)
-        numeric = losses.finite_diff_gradient(lambda x: losses.soft_iou_loss(x, gt)[0], pred)
-        worst = max(worst, losses.max_relative_error(grad, numeric))
-    report["soft_iou_grad_max_rel_err"] = worst
-
-    worst = 0.0
-    for _ in range(cfg.trials):
-        c, h, w = 3, 4, 4
-        pred = rng.uniform(0.05, 0.95, (c, h, w))
-        gt = np.zeros((c, h, w))
-        picks = rng.integers(0, c, (h, w))
-        for ci in range(c):
-            gt[ci][picks == ci] = 1.0
-        weights = losses.inverse_boundary_weights(gt.mean(axis=(1, 2)))
-        _, grad = losses.balanced_ce_loss(pred, gt, weights)
-        numeric = losses.finite_diff_gradient(
-            lambda x: losses.balanced_ce_loss(x, gt, weights)[0], pred
-        )
-        worst = max(worst, losses.max_relative_error(grad, numeric))
-    report["balanced_ce_grad_max_rel_err"] = worst
-
     ga_trials = max(1, cfg.trials // 5)
-    worst = 0.0
-    for _ in range(ga_trials):
-        c, h, w = 4, 5, 5
-        v = rng.uniform(-1.0, 1.0, (c, h, w))
-        params = attention.GaParams.random(c, 2, rng)
-        probe = rng.uniform(-1.0, 1.0, (c, h, w))
-        grad, _ = attention.ga_backward(v, params, probe)
-        numeric = losses.finite_diff_gradient(
-            lambda x: float((attention.ga_module(x, params) * probe).sum()), v
-        )
-        worst = max(worst, losses.max_relative_error(grad, numeric))
-    report["ga_module_grad_max_rel_err"] = worst
-
-    worst = 0.0
-    for _ in range(ga_trials):
-        c, h, w = 4, 6, 6
-        v = rng.uniform(-1.0, 1.0, (c, h, w))
-        params = attention.GaParams.random(c, 2, rng)
-        branch = attention.ResidualBranchParams.random(c, rng)
-        probe = rng.uniform(-1.0, 1.0, (c, h, w))
-        grad, _, _ = attention.ga_resblock_backward(v, params, branch, probe)
-        numeric = losses.finite_diff_gradient(
-            lambda x: float((attention.ga_resblock(x, params, branch) * probe).sum()), v
-        )
-        worst = max(worst, losses.max_relative_error(grad, numeric))
-    report["ga_resblock_grad_max_rel_err"] = worst
+    cases = (
+        ("soft_iou", cfg.trials, _loss_case(losses.soft_iou_loss)),
+        ("balanced_ce", cfg.trials, _loss_case(_balanced_ce)),
+        ("ga_module", ga_trials, _ga_case(5, _ga_module_kernel)),
+        ("ga_resblock", ga_trials, _ga_case(6, _ga_resblock_kernel)),
+    )
+    report = {}
+    for name, trials, trial in cases:
+        worst = 0.0
+        for _ in range(trials):
+            x, grad, f = trial(rng)
+            worst = max(worst, losses.max_relative_error(grad, losses.finite_diff_gradient(f, x)))
+        report[f"{name}_grad_max_rel_err"] = worst
     return report
 
 
@@ -349,36 +351,6 @@ def cmd_losscheck(cfg: RunConfig) -> int:
     report["passed"] = all(v < tol for k, v in report.items() if k.endswith("rel_err"))
     _emit(report, cfg.out)
     return EXIT_OK if report["passed"] else EXIT_VALIDATION
-
-
-def _random_graph(rng: np.random.Generator, spacing: int = 20, grid: int = 4) -> RoadGraph:
-    """Random tree of axis-aligned lattice hops; edges never cross or overlap."""
-    from .graph import GraphBuilder
-
-    sites = [(x * spacing, y * spacing) for x in range(grid) for y in range(grid)]
-    k = int(rng.integers(2, len(sites) + 1))
-    chosen = [sites[i] for i in rng.choice(len(sites), size=k, replace=False)]
-    builder = GraphBuilder()
-    tree = [chosen[0]]
-    rest = chosen[1:]
-    while rest:
-        site = rest[0]
-        anchor = min(tree, key=lambda a: abs(site[0] - a[0]) + abs(site[1] - a[1]))
-        x, y = anchor
-        path = [(x, y)]
-        while x != site[0]:
-            x += spacing if site[0] > x else -spacing
-            path.append((x, y))
-        while y != site[1]:
-            y += spacing if site[1] > y else -spacing
-            path.append((x, y))
-        last = max(i for i, p in enumerate(path) if p in tree)
-        path = path[last:]
-        for p, q in zip(path, path[1:]):
-            builder.add_polyline([(float(p[0]), float(p[1])), (float(q[0]), float(q[1]))])
-        tree.extend(path[1:])
-        rest = [s for s in rest if s not in tree]
-    return builder.build()
 
 
 def cmd_check(cfg: RunConfig) -> int:
@@ -400,7 +372,7 @@ def cmd_check(cfg: RunConfig) -> int:
     report["checks"]["distance_map_max_abs_err"] = {"value": worst, "passed": worst < 1e-6}
 
     identical = all(
-        metrics.snap_similarity(g, g) == 1.0 for g in (_random_graph(rng) for _ in range(20))
+        metrics.snap_similarity(g, g) == 1.0 for g in (lattice_tree_graph(rng) for _ in range(20))
     )
     report["checks"]["apls_identity"] = {"value": identical, "passed": identical}
 

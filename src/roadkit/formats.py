@@ -1,9 +1,8 @@
-"""On-disk formats: binary PGM rasters, raw float grids, raw feature stacks.
+"""On-disk formats: binary PGM rasters and raw feature stacks.
 
 Masks are PGM (P5) with maxval 255 storing 0/255; connectivity maps are PGM
-with maxval 5 storing the class directly. Scalar fields are float32
-little-endian with a 16-byte ``RGKF`` header; feature stacks use ``RGKT``
-with a channel dimension.
+with maxval 5 storing the class directly. Feature stacks are float32
+little-endian C x H x W data with a 16-byte ``RGKT`` header.
 """
 
 from __future__ import annotations
@@ -13,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-SCALAR_MAGIC = b"RGKF"
 FEATURE_MAGIC = b"RGKT"
 
 
@@ -82,27 +80,6 @@ def read_mask_pgm(path: str | Path) -> np.ndarray:
     """Read a PGM and binarize to a 0/1 uint8 mask."""
     grid, _ = read_pgm(path)
     return (grid > 0).astype(np.uint8)
-
-
-def write_scalar_field(path: str | Path, field: np.ndarray) -> None:
-    """Write a 2-D real grid: 16-byte RGKF header + float32 LE data."""
-    arr = np.asarray(field, dtype=np.float32)
-    if arr.ndim != 2:
-        raise FormatError(f"expected a 2-D grid, got shape {arr.shape}")
-    h, w = arr.shape
-    header = SCALAR_MAGIC + struct.pack("<II", w, h) + b"\x00\x00\x00\x00"
-    Path(path).write_bytes(header + arr.astype("<f4").tobytes())
-
-
-def read_scalar_field(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 16 or raw[:4] != SCALAR_MAGIC:
-        raise FormatError(f"{path}: missing RGKF header")
-    w, h = struct.unpack("<II", raw[4:12])
-    body = raw[16:]
-    if len(body) != 4 * w * h:
-        raise FormatError(f"{path}: expected {4 * w * h} bytes of data, got {len(body)}")
-    return np.frombuffer(body, dtype="<f4").reshape(h, w).astype(np.float64)
 
 
 def write_feature_stack(path: str | Path, features: np.ndarray) -> None:

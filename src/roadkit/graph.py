@@ -8,14 +8,21 @@ not real road endpoints.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 Point = tuple[float, float]
 
 #: Endpoints closer than this (in pixels) are considered the same junction.
 MERGE_TOL = 1e-6
+
+#: Lattice spacing for synthetic graphs; keeps junctions well separated and
+#: every leaf edge longer than the default spur-pruning threshold.
+LATTICE_SPACING = 60
 
 
 class GraphParseError(ValueError):
@@ -183,17 +190,20 @@ def parse_graph(document: str) -> RoadGraph:
         raise GraphParseError("'nodes' and 'edges' must be arrays")
 
     builder = GraphBuilder()
-    remap: list[int] = []
+    # Coordinates of the merged node each document node maps to.
+    canonical: list[Point] = []
+    first_seen: dict[int, Point] = {}
     for k, entry in enumerate(raw_nodes):
-        if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-            raise GraphParseError(f"node {k} must be an [x, y] pair")
-        remap.append(builder.add_node((float(entry[0]), float(entry[1]))))
+        p = _parse_point(entry, f"node {k}")
+        canonical.append(first_seen.setdefault(builder.add_node(p), p))
 
     boundary = doc.get("boundary_nodes", [])
+    if not isinstance(boundary, list):
+        raise GraphParseError("'boundary_nodes' must be an array")
     for k in boundary:
         if not isinstance(k, int) or not 0 <= k < len(raw_nodes):
             raise GraphSchemaError(f"boundary node reference {k!r} out of range")
-        builder._boundary.add(remap[k])
+        builder.add_node(canonical[k], boundary=True)
 
     for k, entry in enumerate(raw_edges):
         if not isinstance(entry, dict) or "a" not in entry or "b" not in entry:
@@ -202,19 +212,33 @@ def parse_graph(document: str) -> RoadGraph:
         for ref in (a, b):
             if not isinstance(ref, int) or not 0 <= ref < len(raw_nodes):
                 raise GraphSchemaError(f"edge {k} references missing node {ref!r}")
-        pa = builder._nodes[remap[a]]
-        pb = builder._nodes[remap[b]]
+        pa, pb = canonical[a], canonical[b]
         poly = entry.get("polyline")
         if poly is None:
             pts = [pa, pb]
         else:
-            pts = [(float(x), float(y)) for x, y in poly]
+            if not isinstance(poly, list):
+                raise GraphParseError(f"edge {k} polyline must be an array")
+            pts = [_parse_point(q, f"edge {k} polyline point {i}") for i, q in enumerate(poly)]
             if len(pts) < 2:
                 raise GraphSchemaError(f"edge {k} polyline has fewer than 2 points")
             if math.dist(pts[0], pa) > 1e-6 or math.dist(pts[-1], pb) > 1e-6:
                 raise GraphSchemaError(f"edge {k} polyline does not start/end at its nodes")
         builder.add_polyline(pts)
     return builder.build()
+
+
+def _parse_point(entry, what: str) -> Point:
+    """An [x, y] pair of finite numbers, or GraphParseError naming ``what``."""
+    if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
+        raise GraphParseError(f"{what} must be an [x, y] pair")
+    try:
+        x, y = float(entry[0]), float(entry[1])
+    except (TypeError, ValueError, OverflowError):
+        x = y = math.nan
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise GraphParseError(f"{what} must have finite numeric coordinates, got {entry!r}")
+    return x, y
 
 
 def serialize_graph(g: RoadGraph) -> str:
@@ -290,14 +314,12 @@ def crop_graph(g: RoadGraph, w: Window) -> RoadGraph:
     for e in g.edges:
         chains: list[list[Point]] = []
         chain: list[Point] = []
-        prev_clipped_end = False
         for p, q in zip(e.polyline, e.polyline[1:]):
             span = _liang_barsky(p, q, w)
             if span is None:
                 if chain:
                     chains.append(chain)
                     chain = []
-                prev_clipped_end = False
                 continue
             t0, t1 = span
             a = _lerp(p, q, t0) if t0 > 0 else p
@@ -310,8 +332,7 @@ def crop_graph(g: RoadGraph, w: Window) -> RoadGraph:
                 chain.append(a)
             if math.dist(chain[-1], b) > 0:
                 chain.append(b)
-            prev_clipped_end = t1 < 1
-            if prev_clipped_end:
+            if t1 < 1:
                 chains.append(chain)
                 chain = []
         if chain:
@@ -325,4 +346,51 @@ def crop_graph(g: RoadGraph, w: Window) -> RoadGraph:
             start_is_cut = math.dist(pts[0], g.nodes[e.a]) > 1e-9
             end_is_cut = math.dist(pts[-1], g.nodes[e.b]) > 1e-9
             builder.add_polyline(pts, start_boundary=start_is_cut, end_boundary=end_is_cut)
+    return builder.build()
+
+
+def lattice_tree_graph(rng: np.random.Generator, canvas: int = 200) -> RoadGraph:
+    """Random spanning tree on a coarse lattice, edges between grid neighbors.
+
+    Junctions are at least LATTICE_SPACING apart and all edges are straight
+    segments of length >= LATTICE_SPACING, so vectorization round trips
+    cleanly: no spur is short enough to prune and no junctions merge.
+    """
+    coords = list(range(40, canvas - 20, LATTICE_SPACING))
+    sites = list(itertools.product(coords, coords))
+    k = int(rng.integers(3, min(7, len(sites)) + 1))
+    chosen = [sites[i] for i in rng.choice(len(sites), size=k, replace=False)]
+
+    builder = GraphBuilder()
+    tree_points = [chosen[0]]
+    rest = chosen[1:]
+    while rest:
+        # Attach the pending site closest to the tree, but only via straight
+        # lattice-neighbor hops so segments never overlap obliquely.
+        best = None
+        for site in rest:
+            for anchor in tree_points:
+                dist = abs(site[0] - anchor[0]) + abs(site[1] - anchor[1])
+                if best is None or dist < best[0]:
+                    best = (dist, site, anchor)
+        _, site, anchor = best
+        # Walk in lattice steps: first horizontal, then vertical.
+        x, y = anchor
+        path = [(x, y)]
+        while x != site[0]:
+            x += LATTICE_SPACING if site[0] > x else -LATTICE_SPACING
+            path.append((x, y))
+        while y != site[1]:
+            y += LATTICE_SPACING if site[1] > y else -LATTICE_SPACING
+            path.append((x, y))
+        # Restart from the last point already in the tree so no hop is ever
+        # duplicated and the result stays a genuine tree (no parallel edges,
+        # no cycles).
+        last = max(i for i, p in enumerate(path) if p in tree_points)
+        path = path[last:]
+        for p, q in zip(path, path[1:]):
+            builder.add_polyline([(float(p[0]), float(p[1])), (float(q[0]), float(q[1]))])
+        for p in path[1:]:
+            tree_points.append(p)
+        rest = [s for s in rest if s not in tree_points]
     return builder.build()

@@ -283,10 +283,3 @@ def apls(gt: RoadGraph, prop: RoadGraph, params: AplsParams | None = None) -> fl
         return 0.0
     return 2.0 / (1.0 / forward + 1.0 / backward)
 
-
-def apls_batch(pairs, params: AplsParams | None = None) -> float:
-    """Arithmetic mean of per-image scores."""
-    pairs = list(pairs)
-    if not pairs:
-        raise ValueError("apls_batch requires at least one (gt, prop) pair")
-    return sum(apls(gt, prop, params) for gt, prop in pairs) / len(pairs)

@@ -59,27 +59,6 @@ def _has_square(img: np.ndarray) -> np.ndarray:
     return (img[:-1, :-1] & img[:-1, 1:] & img[1:, :-1] & img[1:, 1:]).astype(bool)
 
 
-def _component_count(img: np.ndarray) -> int:
-    """Number of 8-connected foreground components."""
-    seen = np.zeros(img.shape, dtype=bool)
-    h, w = img.shape
-    count = 0
-    for sy, sx in zip(*np.nonzero(img)):
-        if seen[sy, sx]:
-            continue
-        count += 1
-        stack = [(sy, sx)]
-        seen[sy, sx] = True
-        while stack:
-            y, x = stack.pop()
-            for dy, dx in _NEIGHBORS_8:
-                ny, nx = y + dy, x + dx
-                if 0 <= ny < h and 0 <= nx < w and img[ny, nx] and not seen[ny, nx]:
-                    seen[ny, nx] = True
-                    stack.append((ny, nx))
-    return count
-
-
 def _square_cleanup(img: np.ndarray) -> np.ndarray:
     """Remove redundant pixels of leftover 2x2 blocks without breaking paths.
 
@@ -111,12 +90,12 @@ def _square_cleanup(img: np.ndarray) -> np.ndarray:
                     deleted = True
                     break
             else:
-                before = _component_count(img)
+                before = len(_label_components(img))
                 for py, px in members:
                     if not img[py, px]:
                         continue
                     img[py, px] = 0
-                    if _component_count(img) == before:
+                    if len(_label_components(img)) == before:
                         deleted = True
                         break
                     img[py, px] = 1
@@ -316,19 +295,11 @@ def prune_hanging(g: RoadGraph, min_length: float) -> RoadGraph:
     goes first for determinism under ties; junctions reduced to degree 2 are
     merged through so simplification later sees maximal chains.
     """
-    nodes = list(g.nodes)
-    edges = [e for e in g.edges]
+    edges = list(g.edges)
     boundary = set(g.boundary_nodes)
 
-    def degrees() -> dict[int, int]:
-        deg = {i: 0 for i in range(len(nodes))}
-        for e in edges:
-            deg[e.a] += 1
-            deg[e.b] += 1
-        return deg
-
     while True:
-        deg = degrees()
+        deg = node_degrees(RoadGraph(g.nodes, tuple(edges)))
         spurs = [
             (e.length(), k)
             for k, e in enumerate(edges)
@@ -343,7 +314,7 @@ def prune_hanging(g: RoadGraph, min_length: float) -> RoadGraph:
     merged = True
     while merged:
         merged = False
-        deg = degrees()
+        deg = node_degrees(RoadGraph(g.nodes, tuple(edges)))
         incident: dict[int, list[int]] = {}
         for k, e in enumerate(edges):
             incident.setdefault(e.a, []).append(k)

@@ -1,69 +1,11 @@
-"""Shared generators for synthetic road graphs and masks."""
+"""Shared fixtures; synthetic graphs come from roadkit.graph.lattice_tree_graph."""
 
 from __future__ import annotations
-
-import itertools
 
 import numpy as np
 import pytest
 
-from roadkit.graph import GraphBuilder, RoadGraph
-
-#: Lattice spacing for synthetic graphs; keeps junctions well separated and
-#: every leaf edge longer than the default spur-pruning threshold.
-LATTICE_SPACING = 60
-
-
-def lattice_tree_graph(rng: np.random.Generator, canvas: int = 200) -> RoadGraph:
-    """Random spanning tree on a coarse lattice, edges between grid neighbors.
-
-    Junctions are at least LATTICE_SPACING apart and all edges are straight
-    segments of length >= LATTICE_SPACING, so vectorization round trips
-    cleanly: no spur is short enough to prune and no junctions merge.
-    """
-    coords = list(range(40, canvas - 20, LATTICE_SPACING))
-    sites = list(itertools.product(coords, coords))
-    k = int(rng.integers(3, min(7, len(sites)) + 1))
-    chosen = [sites[i] for i in rng.choice(len(sites), size=k, replace=False)]
-
-    builder = GraphBuilder()
-    tree_points = [chosen[0]]
-    rest = chosen[1:]
-    while rest:
-        # Attach the pending site closest to the tree, but only via straight
-        # lattice-neighbor hops so segments never overlap obliquely.
-        best = None
-        for site in rest:
-            for anchor in tree_points:
-                dist = abs(site[0] - anchor[0]) + abs(site[1] - anchor[1])
-                if best is None or dist < best[0]:
-                    best = (dist, site, anchor)
-        _, site, anchor = best
-        # Walk in lattice steps: first horizontal, then vertical.
-        x, y = anchor
-        path = [(x, y)]
-        while x != site[0]:
-            x += LATTICE_SPACING if site[0] > x else -LATTICE_SPACING
-            path.append((x, y))
-        while y != site[1]:
-            y += LATTICE_SPACING if site[1] > y else -LATTICE_SPACING
-            path.append((x, y))
-        # Restart from the last point already in the tree so no hop is ever
-        # duplicated and the result stays a genuine tree (no parallel edges,
-        # no cycles).
-        last = max(i for i, p in enumerate(path) if p in tree_points)
-        path = path[last:]
-        for p, q in zip(path, path[1:]):
-            builder.add_polyline([(float(p[0]), float(p[1])), (float(q[0]), float(q[1]))])
-        for p in path[1:]:
-            tree_points.append(p)
-        rest = [s for s in rest if s not in tree_points]
-    return builder.build()
-
-
-def random_blob_mask(rng: np.random.Generator, height: int, width: int, density: float = 0.2) -> np.ndarray:
-    """Sparse random binary mask for distance/skeleton property tests."""
-    return (rng.random((height, width)) < density).astype(np.uint8)
+from roadkit.graph import lattice_tree_graph  # noqa: F401  (imported by the test modules)
 
 
 @pytest.fixture

@@ -42,6 +42,32 @@ def test_labelgen_reports_bad_input(tmp_path, capsys):
     assert "bad" in report["failed"]
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"nodes": [[NaN, 5], [10, 5]], "edges": [{"a": 0, "b": 1}]}',
+        '{"nodes": [[1e999, 5], [10, 5]], "edges": [{"a": 0, "b": 1}]}',
+        '{"nodes": [["a", 5], [10, 5]], "edges": [{"a": 0, "b": 1}]}',
+        '{"nodes": [[1%s, 5], [10, 5]], "edges": [{"a": 0, "b": 1}]}' % ("0" * 400),
+        '{"nodes": [[0, 5], [10, 5]], "edges": [{"a": 0, "b": 1, "polyline": [[0, 5], [3], [10, 5]]}]}',
+        '{"nodes": [[0, 5], [10, 5]], "edges": [{"a": 0, "b": 1}], "boundary_nodes": 5}',
+    ],
+    ids=["nan", "overflow", "string", "huge-int", "short-point", "boundary-not-array"],
+)
+def test_labelgen_records_malformed_graph_per_file(tmp_path, capsys, doc):
+    src = tmp_path / "graphs"
+    src.mkdir()
+    (src / "bad.json").write_text(doc)
+    (src / "good.json").write_text(cross_graph_json())
+    rc = main(["labelgen", "--input", str(src), "--out", str(tmp_path / "o"), "--width", "128", "--height", "128"])
+    captured = capsys.readouterr()
+    assert rc == 1
+    report = json.loads(captured.out)
+    assert list(report["failed"]) == ["bad"]
+    assert report["processed"] == 1
+    assert "Traceback" not in captured.err
+
+
 def test_labelgen_missing_input_is_io_error(tmp_path):
     assert main(["labelgen", "--input", str(tmp_path / "nope"), "--out", str(tmp_path / "o")]) == 2
 
@@ -58,6 +84,23 @@ def test_vectorize_round_trip(tmp_path, capsys):
     capsys.readouterr()
     doc = json.loads((out / "road.json").read_text())
     assert len(doc["edges"]) == 1
+
+
+def test_vectorize_records_corrupt_pgm_per_file(tmp_path, capsys):
+    masks = tmp_path / "masks"
+    masks.mkdir()
+    mask = np.zeros((40, 120), dtype=np.uint8)
+    mask[19:22, 5:115] = 1
+    write_mask_pgm(masks / "good.pgm", mask)
+    (masks / "bad.pgm").write_bytes(b"P5\n4 4\n255\n\x00")  # truncated body
+    out = tmp_path / "graphs"
+    rc = main(["vectorize", "--input", str(masks), "--out", str(out)])
+    assert rc == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["processed"] == 1
+    assert list(report["failed"]) == ["bad"]
+    assert len(json.loads((out / "good.json").read_text())["edges"]) == 1
+    assert not (out / "bad.json").exists()
 
 
 def test_eval_pairs_masks(tmp_path, capsys):

@@ -6,11 +6,9 @@ from roadkit.formats import (
     read_feature_stack,
     read_mask_pgm,
     read_pgm,
-    read_scalar_field,
     write_connectivity_pgm,
     write_feature_stack,
     write_mask_pgm,
-    write_scalar_field,
 )
 
 
@@ -55,28 +53,6 @@ def test_pgm_rejects_garbage(tmp_path):
     path.write_bytes(b"P5\n4 4\n255\n\x00")  # truncated body
     with pytest.raises(FormatError):
         read_pgm(path)
-
-
-def test_scalar_field_round_trip(tmp_path):
-    rng = np.random.default_rng(0)
-    field = rng.standard_normal((7, 5))
-    path = tmp_path / "field.rgkf"
-    write_scalar_field(path, field)
-    back = read_scalar_field(path)
-    assert back.shape == (7, 5)
-    assert np.allclose(back, field, atol=1e-6)  # float32 storage
-
-
-def test_scalar_field_rejects_wrong_rank(tmp_path):
-    with pytest.raises(FormatError):
-        write_scalar_field(tmp_path / "x.rgkf", np.zeros((2, 2, 2)))
-
-
-def test_scalar_field_rejects_bad_magic(tmp_path):
-    path = tmp_path / "x.rgkf"
-    path.write_bytes(b"NOPE" + bytes(12))
-    with pytest.raises(FormatError):
-        read_scalar_field(path)
 
 
 def test_feature_stack_round_trip(tmp_path):

@@ -11,7 +11,6 @@ from roadkit.labels import brute_force_distance_map
 from roadkit.metrics import (
     AplsParams,
     apls,
-    apls_batch,
     build_control_points,
     iou,
     relaxed_iou,
@@ -208,12 +207,3 @@ def test_snap_terms_bounded(rng):
         m = snap_similarity(a, b)
         assert 0.0 <= m <= 1.0
 
-
-def test_apls_batch():
-    g = straight_graph()
-    empty = parse_graph('{"nodes":[],"edges":[]}')
-    assert apls_batch([(g, g)]) == 1.0
-    assert apls_batch([(g, g), (g, empty)]) == 0.5
-    assert apls_batch([(g, g)] * 3) == 1.0
-    with pytest.raises(ValueError):
-        apls_batch([])
