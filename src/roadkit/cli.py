@@ -34,6 +34,9 @@ EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_IO = 2
 
+#: Errors that fail one input file (or one eval pair) and let the batch go on.
+_INPUT_ERRORS = (GraphParseError, GraphSchemaError, formats.FormatError, OSError)
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -149,7 +152,7 @@ def _run_batch(cfg: RunConfig, command: str, suffix: str, work) -> int:
     def run(path: Path) -> tuple[str, str | None]:
         try:
             work(path, out_dir)
-        except (GraphParseError, GraphSchemaError, formats.FormatError, OSError) as exc:
+        except _INPUT_ERRORS as exc:
             return path.stem, str(exc)
         return path.stem, None
 
@@ -186,6 +189,11 @@ def _load_pair(pred: Path, gt: Path, cfg: RunConfig) -> dict:
     if pred.suffix == ".pgm":
         pm = formats.read_mask_pgm(pred)
         gm = formats.read_mask_pgm(gt)
+        if pm.shape != gm.shape:
+            raise formats.FormatError(
+                f"{pred}: mask is {pm.shape[1]}x{pm.shape[0]}, "
+                f"but {gt} is {gm.shape[1]}x{gm.shape[0]}"
+            )
         score = metrics.pixel_score(pm, gm, cfg.rho)
         record["iou"] = score.iou
         record["relaxed_iou"] = score.relaxed_iou
@@ -212,18 +220,25 @@ def cmd_eval(cfg: RunConfig) -> int:
     if orphans:
         return _validation_error(f"unpaired files: {orphans}")
 
-    stems = sorted(pred_files)
-    records = _run_parallel(
-        stems, lambda s: _load_pair(pred_files[s], gt_files[s], cfg), _thread_count(cfg)
-    )
-    records.sort(key=lambda r: r["id"])
+    def score(stem: str) -> tuple[str, dict | None, str | None]:
+        try:
+            return stem, _load_pair(pred_files[stem], gt_files[stem], cfg), None
+        except _INPUT_ERRORS as exc:
+            return stem, None, str(exc)
+
+    results = _run_parallel(sorted(pred_files), score, _thread_count(cfg))
+    records = [record for _, record, _ in results if record is not None]
+    failures = {stem: err for stem, _, err in results if err is not None}
     means = {}
     for key in ("iou", "relaxed_iou", "apls"):
         vals = [r[key] for r in records if key in r]
         if vals:
             means[key] = sum(vals) / len(vals)
-    _emit({"records": records, "means": means}, cfg.out)
-    return EXIT_OK
+    report = {"records": records, "means": means}
+    if failures:
+        report["failed"] = failures
+    _emit(report, cfg.out)
+    return EXIT_VALIDATION if failures else EXIT_OK
 
 
 def cmd_tile_plan(cfg: RunConfig) -> int:

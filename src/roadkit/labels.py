@@ -84,53 +84,93 @@ def rasterize_centerline(g: RoadGraph, width: int, height: int) -> np.ndarray:
     return mask
 
 
-_EDT_INF = 1e18  # stand-in for +inf inside the lower-envelope recursion
-
-
-def _edt_1d(f: np.ndarray) -> np.ndarray:
-    """1-D squared distance transform (lower envelope of parabolas)."""
-    n = len(f)
-    d = np.empty(n)
-    v = np.empty(n, dtype=np.intp)  # parabola sites
-    z = np.empty(n + 1)  # envelope breakpoints
-    k = 0
-    v[0] = 0
-    z[0] = -_EDT_INF
-    z[1] = _EDT_INF
-    for q in range(1, n):
-        s = ((f[q] + q * q) - (f[v[k]] + v[k] * v[k])) / (2 * q - 2 * v[k])
-        while s <= z[k]:
-            k -= 1
-            s = ((f[q] + q * q) - (f[v[k]] + v[k] * v[k])) / (2 * q - 2 * v[k])
-        k += 1
-        v[k] = q
-        z[k] = s
-        z[k + 1] = _EDT_INF
-    k = 0
-    for q in range(n):
-        while z[k + 1] < q:
-            k += 1
-        d[q] = (q - v[k]) ** 2 + f[v[k]]
-    return d
-
-
 def distance_map(mask: np.ndarray) -> np.ndarray:
     """Exact Euclidean distance (in pixels) to the nearest road pixel.
 
     Two-pass separable transform on squared distances; road pixels map to 0
-    and an all-background mask maps to +inf everywhere.
+    and an all-background mask maps to +inf everywhere. The row pass takes
+    the nearest road pixel left and right of each pixel. The column pass is
+    the lower envelope of parabolas (Felzenszwalb & Huttenlocher, *Distance
+    Transforms of Sampled Functions*), built for all columns in lockstep over
+    the rows that hold road; rows without road have infinite row distance and
+    never enter an envelope. The Python loop runs once per road row, plus
+    once per extra slot the busiest column pops at that row; its trip count
+    does not grow with the distances in the image.
+
+    The result is sqrt of the exact integer squared distance: every squared
+    distance is an integer far below 2**53, and an envelope breakpoint is a
+    ratio of such integers with a denominator below 2 * height, so its
+    rounding never changes which pixel rows a parabola owns.
     """
     mask = np.asarray(mask)
     if mask.ndim != 2 or mask.size == 0:
         raise ValueError(f"mask must be a nonempty 2-D grid, got shape {mask.shape}")
-    f = np.where(mask > 0, 0.0, _EDT_INF)
-    for row in range(f.shape[0]):
-        f[row, :] = _edt_1d(f[row, :])
-    for col in range(f.shape[1]):
-        f[:, col] = _edt_1d(f[:, col])
-    d = np.sqrt(f)
-    d[f >= _EDT_INF] = np.inf
-    return d
+    road = mask > 0
+    height, width = road.shape
+    rows = np.flatnonzero(road.any(axis=1))
+    if rows.size == 0:
+        return np.full(road.shape, np.inf)
+
+    # Row pass: squared distance to the nearest road pixel in the same row.
+    site = road[rows]
+    cols = np.arange(width)
+    left = np.maximum.accumulate(np.where(site, cols, -width), axis=1)
+    right = np.minimum.accumulate(np.where(site, cols, 2 * width)[:, ::-1], axis=1)[:, ::-1]
+    gap = np.minimum(cols - left, right - cols)
+    # Each temporary is dropped once used: the three stacks below already take
+    # 24 bytes per pixel of the road rows.
+    del site, left, right
+
+    # Column pass, building: slot k of column c holds a parabola with vertex
+    # row r and key f + r^2, where f is the row pass's squared distance; the
+    # parabola is lowest on (z[k, c], z[k + 1, c]]. A new parabola pops every
+    # slot whose whole interval it undercuts; the popped slots are a suffix
+    # of the stack. Stacks are flat (slot * width + column) so each step reads
+    # and writes them with one index, ``at``.
+    key = (gap * gap + (rows * rows)[:, None]).astype(np.float64)
+    del gap
+    slots = rows.size * width
+    z = np.full(slots, np.inf)
+    top_key = np.empty(slots)
+    top_row = np.empty(slots, dtype=np.intp)
+    z[:width] = -np.inf
+    top_key[:width] = key[0]
+    top_row[:width] = rows[0]
+    at = cols.copy()
+    for j in range(1, rows.size):
+        s = (key[j] - top_key[at]) / (2 * (rows[j] - top_row[at]))
+        pop = np.flatnonzero(s <= z[at])
+        while pop.size:
+            at[pop] -= width
+            back = at[pop]
+            s[pop] = (key[j, pop] - top_key[back]) / (2 * (rows[j] - top_row[back]))
+            pop = pop[s[pop] <= z[back]]
+        at += width
+        z[at] = s
+        top_key[at] = key[j]
+        top_row[at] = rows[j]
+    del key
+
+    # Column pass, reading: pixel row y takes the last slot with z < y. Each
+    # slot is stamped at the first pixel row it owns, then a running max
+    # fills in the rows between. A slot owns no row when its first row is
+    # past the image or when the next slot starts on the same row.
+    depth = at // width
+    first = np.floor(z.reshape(rows.size, width)[1:]).clip(-1, height - 1).astype(np.intp) + 1
+    slot = np.arange(1, rows.size)[:, None]
+    live = (slot <= depth) & (first < height)
+    live[:-1] &= (first[1:] != first[:-1]) | (slot[1:] > depth)
+    k, c = np.nonzero(live)
+    owner = np.zeros((height, width), dtype=np.intp)
+    owner[first[k, c], c] = k + 1
+    owner = np.maximum.accumulate(owner, axis=0) * width + cols
+    del first, live, k, c
+    r = top_row[owner]
+    d2 = top_key[owner]
+    d2 -= r * r  # key - r^2 is the row pass's f
+    r -= np.arange(height)[:, None]
+    d2 += r * r
+    return np.sqrt(d2, out=d2)
 
 
 def brute_force_distance_map(mask: np.ndarray) -> np.ndarray:

@@ -120,6 +120,34 @@ def test_eval_pairs_masks(tmp_path, capsys):
     assert report["records"][0]["id"] == "x"
 
 
+def test_eval_records_bad_pairs_per_pair(tmp_path, capsys):
+    pred = tmp_path / "pred"
+    gt = tmp_path / "gt"
+    pred.mkdir()
+    gt.mkdir()
+    mask = np.zeros((40, 120), dtype=np.uint8)
+    mask[19:22, 5:115] = 1
+    shifted = np.roll(mask, 2, axis=0)
+    write_mask_pgm(pred / "good.pgm", shifted)
+    write_mask_pgm(gt / "good.pgm", mask)
+    (pred / "truncated.pgm").write_bytes(b"P5\n4 4\n255\n\x00")
+    write_mask_pgm(gt / "truncated.pgm", np.zeros((4, 4), dtype=np.uint8))
+    (pred / "badgraph.json").write_text('{"nodes": [[NaN, 5], [10, 5]], "edges": [{"a": 0, "b": 1}]}')
+    (gt / "badgraph.json").write_text(cross_graph_json())
+    write_mask_pgm(pred / "shapes.pgm", mask)
+    write_mask_pgm(gt / "shapes.pgm", mask[:, :100])
+    rc = main(["eval", "--pred", str(pred), "--gt", str(gt)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert "Traceback" not in captured.err
+    report = json.loads(captured.out)
+    assert sorted(report["failed"]) == ["badgraph", "shapes", "truncated"]
+    assert main(["eval", "--pred", str(pred / "good.pgm"), "--gt", str(gt / "good.pgm")]) == 0
+    single = json.loads(capsys.readouterr().out)
+    assert report["records"] == single["records"]
+    assert report["means"] == single["means"]
+
+
 def test_eval_rejects_unpaired(tmp_path, capsys):
     pred = tmp_path / "pred"
     gt = tmp_path / "gt"

@@ -81,6 +81,41 @@ def test_distance_map_matches_brute_force(mask):
         assert np.max(np.abs(exact[finite] - brute[finite])) < 1e-6
 
 
+def _scipy_oracle_masks():
+    """Seeded random masks up to 257x257, one road pixel to 90% road, plus edge shapes."""
+    rng = np.random.default_rng(7)
+    masks = []
+    for density in (0.0, 0.001, 0.01, 0.05, 0.15, 0.5, 0.9):
+        for shape in ((257, 257), (31, 200), (200, 31), (64, 64)):
+            mask = (rng.random(shape) < density).astype(np.uint8)
+            mask[tuple(int(rng.integers(0, n)) for n in shape)] = 1  # at least one road pixel
+            masks.append(mask)
+    for shape in ((1, 1), (1, 57), (57, 1)):
+        for density in (0.0, 0.3):
+            mask = (rng.random(shape) < density).astype(np.uint8)
+            mask.flat[int(rng.integers(0, mask.size))] = 1
+            masks.append(mask)
+    for shape in ((40, 70), (1, 9), (9, 1)):
+        corner = np.zeros(shape, dtype=np.uint8)
+        corner[-1, -1] = 1
+        masks.append(corner)
+        masks.append(np.ones(shape, dtype=np.uint8))
+    return masks
+
+
+def test_distance_map_equals_scipy_edt_bitwise():
+    ndimage = pytest.importorskip("scipy.ndimage")
+    for mask in _scipy_oracle_masks():
+        assert np.array_equal(distance_map(mask), ndimage.distance_transform_edt(mask == 0)), mask.shape
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 57), (57, 1), (257, 257)])
+def test_distance_map_all_background_is_infinite_any_shape(shape):
+    d = distance_map(np.zeros(shape, dtype=np.uint8))
+    assert d.shape == shape
+    assert np.all(np.isposinf(d))
+
+
 def test_gaussian_heatmap_values():
     d = np.array([[0.0, 2.0, np.inf]])
     g = gaussian_heatmap(d, theta=2.0)
